@@ -1,19 +1,12 @@
 """Engine microbenchmark entry (see ``sim_micro.py`` for the workloads).
 
-Differentially certified timing: all three engines replay identical
-kernels on the fig7 graph family (plus the 10k-vertex ``vec_flood_10k``
-scale row); deterministic outputs must match exactly, the fast path must
-clear :data:`sim_micro.FIG7_MIN_SPEEDUP`, and the vectorized engine must
-clear :data:`sim_micro.FIG7_VEC_MIN_SPEEDUP` on the same workload.
+Differentially certified timing: both engines replay identical kernels on
+the fig7 graph family; deterministic outputs must match exactly and the
+fast path must clear :data:`sim_micro.FIG7_MIN_SPEEDUP`.
 """
 
 from _util import emit, once
-from sim_micro import (
-    FIG7_MIN_SPEEDUP,
-    FIG7_VEC_MIN_SPEEDUP,
-    render,
-    run_sim_micro,
-)
+from sim_micro import FIG7_MIN_SPEEDUP, render, run_sim_micro
 
 
 def bench_sim_micro(benchmark):
@@ -23,8 +16,4 @@ def bench_sim_micro(benchmark):
     assert meta["fig7_flood_speedup_wall"] >= FIG7_MIN_SPEEDUP, (
         f"fast engine regressed: fig7_flood only "
         f"{meta['fig7_flood_speedup_wall']}x faster than the reference"
-    )
-    assert meta["fig7_flood_speedup_vec"] >= FIG7_VEC_MIN_SPEEDUP, (
-        f"vectorized engine regressed: fig7_flood only "
-        f"{meta['fig7_flood_speedup_vec']}x faster than the reference"
     )

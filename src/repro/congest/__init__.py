@@ -7,10 +7,7 @@ Public surface:
   (the fast-path engine: CSR adjacency, cached port tables, batched sends);
 * :class:`~repro.congest.reference.ReferenceNetwork` -- the frozen seed
   engine, kept as the oracle for the differential harness;
-* :class:`~repro.congest.vectorized.VectorizedNetwork` -- the batch-native
-  engine (deferred message materialization, O(1) congestion summaries,
-  numpy-backed dense views with a pure-python fallback);
-* ``ENGINES`` -- name -> class registry of all three round engines, the
+* ``ENGINES`` -- name -> class registry of both round engines, the
   backbone of the engine-parametrized test fixtures;
 * :class:`~repro.congest.memory.MemoryMeter` -- per-vertex word accounting;
 * :class:`~repro.congest.message.Message`;
@@ -40,15 +37,13 @@ from .protocol import (
     run_protocol,
 )
 from .trace import ChargeSample, RoundSample, RoundTrace, attach_trace
-from .vectorized import HAVE_NUMPY, VectorizedNetwork
 
-#: The three round engines behind one duck-typed contract, by name.  Test
+#: The two round engines behind one duck-typed contract, by name.  Test
 #: fixtures and the differential harness parametrize over this registry;
 #: all entries accept the same constructor signature as ``Network``.
 ENGINES = {
     "reference": ReferenceNetwork,
     "fastpath": Network,
-    "vectorized": VectorizedNetwork,
 }
 
 __all__ = [
@@ -65,14 +60,12 @@ __all__ = [
     "attach_trace",
     "ENGINES",
     "Forest",
-    "HAVE_NUMPY",
     "MemoryMeter",
     "Message",
     "Network",
     "PhaseRecord",
     "ReferenceNetwork",
     "RunMetrics",
-    "VectorizedNetwork",
     "broadcast_all",
     "build_bfs_tree",
     "convergecast_aggregate",

@@ -94,8 +94,8 @@ class MemoryMeter:
         An exact-key free resolves through the item index without scanning
         any keys, so it resets ``last_prefix_scan`` to 0: the probe always
         describes the *most recent* teardown operation.  Bulk exact-key
-        teardowns (``Network.free_key`` issued from a vectorized round
-        close) previously left a stale scan count from an earlier
+        teardowns (``Network.free_key`` issued after a round closes)
+        previously left a stale scan count from an earlier
         :meth:`free_prefix` pinned — the regression test in
         ``tests/test_congest_memory.py`` holds this either way.
         """

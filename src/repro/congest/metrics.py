@@ -89,15 +89,6 @@ class RunMetrics:
         if self._open is not None:
             self._open.charged_rounds += rounds
 
-    def on_charge_bulk(self, rounds: int, count: int) -> None:
-        """``count`` identical :meth:`on_charge` events folded into one
-        counter update (the vectorized engine's wide-batch lane).  Exactly
-        equivalent to calling ``on_charge(rounds)`` ``count`` times."""
-        total = rounds * count
-        self.charged_rounds += total
-        if self._open is not None:
-            self._open.charged_rounds += total
-
     # -- reporting -----------------------------------------------------------
 
     def by_phase(self) -> Dict[str, int]:

@@ -405,8 +405,8 @@ class Network:
 
     def flood_all(self, kind: str, payload: Any = None) -> int:
         """Every vertex fans ``payload`` out to all of its ports, in node
-        order (one whole-round flood).  Loop engines execute it as ``n``
-        full fanouts; the vectorized engine overrides it with an O(1) lane.
+        order (one whole-round flood): ``n`` full-fanout :meth:`send_many`
+        calls, each on the cached port table's contiguous arc range.
         Returns the number of messages queued.
         """
         count = 0

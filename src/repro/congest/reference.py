@@ -198,9 +198,9 @@ class ReferenceNetwork:
 
     def flood_all(self, kind: str, payload: Any = None) -> int:
         """Every vertex fans ``payload`` out to all of its ports, in node
-        order (API compatibility shim: a loop over :meth:`send_many`, so
-        the batching engines' whole-round lane provably changes nothing
-        but speed).  Returns the number of messages queued."""
+        order (API compatibility shim: a loop over :meth:`send_many`, the
+        same loop the fast path runs).  Returns the number of messages
+        queued."""
         count = 0
         for v in self.graph.nodes:
             count += self.send_many(v, self.ports(v), kind, payload)

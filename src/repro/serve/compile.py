@@ -317,7 +317,7 @@ def compile_from_json(
     return compile_scheme(scheme, graph)
 
 
-def seal_to_buffers(compiled: CompiledScheme, *, backend=None):
+def seal_to_buffers(compiled: CompiledScheme):
     """Lower a compiled scheme into one shared-memory table image (S20).
 
     Thin entry point over :func:`repro.shard.tables.seal_to_buffers`
@@ -328,7 +328,7 @@ def seal_to_buffers(compiled: CompiledScheme, *, backend=None):
     """
     from ..shard.tables import seal_to_buffers as _seal
 
-    return _seal(compiled, backend=backend)
+    return _seal(compiled)
 
 
 def from_buffers(manifest, buffer=None):

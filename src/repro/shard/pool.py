@@ -113,7 +113,6 @@ class ShardPool:
         seed: int = 0,
         cache_entries: Optional[Sequence[Tuple[Any, Any]]] = None,
         collect_results: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if workers <= 0:
             raise InputError(f"workers must be positive, got {workers}")
@@ -143,7 +142,7 @@ class ShardPool:
         self.sealed: Optional[SealedTables] = None
         if shm:
             with _tele.span("shard/seal", workers=workers):
-                self.sealed = seal_to_buffers(compiled, backend=backend)
+                self.sealed = seal_to_buffers(compiled)
             _tele.emit("shard.image_nbytes",
                        self.sealed.manifest["nbytes"])
         self.manifest = self.sealed.manifest if self.sealed else None

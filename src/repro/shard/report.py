@@ -89,8 +89,8 @@ def shards_section(
     """The RunRecord ``shards`` rows: one per worker plus provenance.
 
     Per-shard rows carry the partition sizes and per-shard measurements;
-    the table-image provenance (segment size, backend) rides on row 0 so
-    the record stays flat and diffable.
+    the table-image provenance (segment size) rides on row 0 so the record
+    stays flat and diffable.
     """
     rows: List[Dict[str, Any]] = []
     for i, report in enumerate(shard_reports):
@@ -108,6 +108,5 @@ def shards_section(
         }
         if i == 0 and manifest is not None:
             row["image_nbytes"] = manifest["nbytes"]
-            row["image_backend"] = manifest["backend"]
         rows.append(row)
     return rows

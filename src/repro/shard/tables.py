@@ -18,13 +18,10 @@ weights as NaN; :func:`from_buffers` rehydrates both back to ``None`` so
 the engine's reference-parity checks (``w is None`` → "not an edge")
 behave byte-identically.
 
-Backends.  The writer packs through ``numpy`` when available and through
-:mod:`array` under ``REPRO_NO_NUMPY=1`` — the two paths must produce the
-**same bytes** (tested array-for-array).  The reader deliberately hands the
-engine ``memoryview.cast`` views in *both* backends: indexing a memoryview
+Packing.  The writer packs every column through :mod:`array`, and the
+reader hands the engine ``memoryview.cast`` views: indexing a memoryview
 yields native Python ints/floats, so the worker hot loop is type- and
-byte-identical to the in-process engine no matter how the image was
-written (numpy scalar types would leak into paths and comparisons).
+byte-identical to the in-process engine.
 
 Lifecycle.  :func:`seal_to_buffers` creates the segment (the caller owns
 ``unlink``); :func:`from_buffers` attaches by manifest alone — workers
@@ -38,7 +35,6 @@ afterwards.
 from __future__ import annotations
 
 import json
-import os
 from array import array
 from multiprocessing import shared_memory
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -68,24 +64,14 @@ NO_ID = -1
 
 _NAN = float("nan")
 
-#: Fixed column order — shared by the writer (layout) and the parity test.
+#: :mod:`array` type codes of the two column kinds (int64, float64).
 _INT_CODE = "q"
 _FLOAT_CODE = "d"
 
 
-def _import_numpy():
-    """Import numpy unless disabled via ``REPRO_NO_NUMPY=1`` (same gate as
-    :mod:`repro.congest.vectorized`)."""
-    if os.environ.get("REPRO_NO_NUMPY", "").strip() == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is an install extra
-        return None
-    return numpy
-
-
-HAVE_NUMPY = _import_numpy() is not None
+#: Always False: the writer packs through :mod:`array` only.  Kept because
+#: the benchmark's host facts (``perfbench/workloads.py``) still read it.
+HAVE_NUMPY = False
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +114,13 @@ def _sort_key(value: NodeId) -> str:
 class _Writer:
     """Accumulates named 8-byte columns into one contiguous image."""
 
-    def __init__(self, backend: Optional[str]) -> None:
-        if backend is None:
-            backend = "numpy" if HAVE_NUMPY else "python"
-        if backend not in ("numpy", "python"):
-            raise InputError(f"unknown table backend {backend!r}")
-        if backend == "numpy" and not HAVE_NUMPY:
-            raise InputError("numpy backend requested but numpy is "
-                             "unavailable (REPRO_NO_NUMPY=1?)")
-        self.backend = backend
+    def __init__(self) -> None:
         self.arrays: Dict[str, Tuple[int, int, str]] = {}
         self._chunks: List[bytes] = []
         self._offset = 0
 
     def add(self, name: str, code: str, values: Sequence) -> None:
-        if self.backend == "numpy":
-            np = _import_numpy()
-            dtype = np.int64 if code == _INT_CODE else np.float64
-            raw = np.asarray(list(values), dtype=dtype).tobytes()
-        else:
-            raw = array(code, values).tobytes()
+        raw = array(code, values).tobytes()
         self.arrays[name] = (self._offset, len(raw) // 8, code)
         self._chunks.append(raw)
         self._offset += len(raw)
@@ -164,14 +137,10 @@ class LoweredTables:
         self.payload = payload
 
 
-def lower_compiled(
-    compiled: CompiledScheme,
-    *,
-    backend: Optional[str] = None,
-) -> LoweredTables:
+def lower_compiled(compiled: CompiledScheme) -> LoweredTables:
     """Lower a compiled scheme into (manifest, payload bytes)."""
     uni = _Universe()
-    writer = _Writer(backend)
+    writer = _Writer()
 
     if isinstance(compiled, CompiledTreeScheme):
         kind = "tree"
@@ -277,7 +246,6 @@ def lower_compiled(
     manifest = {
         "format": TABLE_FORMAT,
         "kind": kind,
-        "backend": writer.backend,
         "nbytes": len(payload),
         "scalars": scalars,
         "universe": uni.encoded,
@@ -344,11 +312,7 @@ class SealedTables:
         self.unlink()
 
 
-def seal_to_buffers(
-    compiled: CompiledScheme,
-    *,
-    backend: Optional[str] = None,
-) -> SealedTables:
+def seal_to_buffers(compiled: CompiledScheme) -> SealedTables:
     """Lower ``compiled`` and publish the image in a shared-memory segment.
 
     The returned :class:`SealedTables` owns the segment: callers must
@@ -356,7 +320,7 @@ def seal_to_buffers(
     ``manifest`` — a small JSON-able dict including the segment name — is
     all a worker needs to :func:`from_buffers` the tables back.
     """
-    lowered = lower_compiled(compiled, backend=backend)
+    lowered = lower_compiled(compiled)
     shm = shared_memory.SharedMemory(
         create=True, size=max(1, len(lowered.payload)))
     shm.buf[:len(lowered.payload)] = lowered.payload

@@ -1,13 +1,13 @@
-"""Randomized replay: fast-path and vectorized engines vs the reference.
+"""Randomized replay: the fast-path engine vs the reference.
 
-Every case builds one graph, runs one workload on *all three* engines, and
+Every case builds one graph, runs one workload on both engines, and
 asserts the full observable fingerprint matches the reference oracle —
 metrics (with phases), per-directed-edge message totals, charge events,
 per-vertex memory high-waters, and the round-trace timeline.
 
 The full matrix is |TOPOLOGIES| x |PROTOCOLS| x |SEEDS| = 7 x 4 x 9 = 252
-replays (>= the 200 the acceptance bar asks for), each certifying two
-candidate engines; ``REPRO_DIFF_QUICK=1`` shrinks the seed axis for CI
+replays (>= the 200 the acceptance bar asks for), each certifying the
+candidate engine; ``REPRO_DIFF_QUICK=1`` shrinks the seed axis for CI
 smoke runs.
 """
 
@@ -28,7 +28,7 @@ from .harness import (
 SEEDS = range(2) if QUICK else range(9)
 
 #: The engines certified against the reference oracle.
-CANDIDATES = ("fastpath", "vectorized")
+CANDIDATES = ("fastpath",)
 
 CASES = [
     pytest.param(topo, proto, seed, id=f"{topo}-{proto}-s{seed}")
@@ -60,10 +60,10 @@ def test_engines_agree(topo, proto, seed):
 
 def test_case_matrix_is_large_enough():
     """The acceptance bar: >= 200 replays, >= 5 topologies, >= 3 protocols,
-    certifying both candidate engines three-way."""
+    certifying the fast path against the reference."""
     if QUICK:
         pytest.skip("quick mode runs a reduced matrix")
     assert len(TOPOLOGIES) >= 5
     assert len(PROTOCOLS) >= 3
     assert len(CASES) >= 200
-    assert len(CANDIDATES) == 2
+    assert len(CANDIDATES) == 1

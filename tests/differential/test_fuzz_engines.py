@@ -1,4 +1,4 @@
-"""Seeded protocol fuzzer: random message schedules on all three engines.
+"""Seeded protocol fuzzer: random message schedules on both engines.
 
 Unlike the replay tests (which drive real algorithm code), the fuzzer
 generates adversarial *raw* schedules — including deliberate capacity
@@ -28,7 +28,7 @@ from repro.errors import CongestModelViolation
 from .harness import QUICK, TOPOLOGIES, build_topology, run_fingerprint
 
 #: The engines certified against the reference oracle.
-CANDIDATES = ("fastpath", "vectorized")
+CANDIDATES = ("fastpath",)
 
 FUZZ_SEEDS = range(4) if QUICK else range(30)
 TOPO_NAMES = sorted(TOPOLOGIES)
@@ -47,8 +47,7 @@ def make_schedule(graph: Any, seed: int, *, rounds: int = 12) -> List[Tuple]:
 
     Capacity violations arise naturally: several sends may pick the same
     directed edge within one round, and a ``flood_all`` after any send on a
-    strict network overloads every already-loaded arc — exercising the
-    vectorized engine's fallback-and-replay path mid-schedule.  Wide
+    strict network overloads every already-loaded arc mid-fanout.  Wide
     payloads (> word limit) exercise the multi-slot charging path, which
     must never raise.
     """

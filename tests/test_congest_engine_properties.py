@@ -1,17 +1,16 @@
-"""Property-based tests (hypothesis) for the vectorized round engine.
+"""Property-based tests (hypothesis) run over every round engine.
 
 Three invariants that must hold for *any* fanout schedule, not just the
 replays pinned by the differential matrix:
 
 * **Permutation invariance** — the per-destination inbox contents of a
   round are a function of *what* was sent, not of the order in which the
-  sending vertices issued their ``send_many`` calls; and they agree with
-  the reference engine.
+  sending vertices issued their ``send_many`` calls; and every engine
+  agrees with the reference engine.
 * **Word-accounting conservation** — the queued per-arc load vector sums
-  to the total slot count of everything queued, agrees between the
-  vectorized engine's numpy kernel and its pure-python twin, and matches
-  the fast path's eager bookkeeping arc-for-arc; after delivery the loads
-  drain to zero and the word meters agree.
+  to the total slot count of everything queued and matches the reference
+  engine arc-for-arc; after delivery the loads drain to zero and the word
+  meters agree.
 * **Meter-snapshot parity** — any interleaving of network-level bulk
   memory ops (``store_all`` / ``free_key`` / ``free_all``) and per-vertex
   meter ops leaves identical meter state (items, high-water, prefix-scan
@@ -26,7 +25,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import ENGINES, ReferenceNetwork, VectorizedNetwork
+from repro.congest import ENGINES, ReferenceNetwork
 from repro.wordsize import words_of
 
 _REPR = repr
@@ -90,26 +89,27 @@ def _inbox_sets(net, batches, order, *, use_ports_identity):
 def test_inboxes_invariant_under_issue_order(case):
     """Round delivery content is a set-function of the queued batches:
     permuting which vertex calls ``send_many`` first changes nothing, and
-    the vectorized engine agrees with the reference oracle."""
+    every engine agrees with the reference oracle."""
     graph, batches, perm = case
     identity = list(range(len(batches)))
     ref = _inbox_sets(ReferenceNetwork(graph), batches, identity,
                       use_ports_identity=False)
-    vec_same = _inbox_sets(VectorizedNetwork(graph), batches, identity,
+    for name, cls in ENGINES.items():
+        same = _inbox_sets(cls(graph), batches, identity,
                            use_ports_identity=True)
-    vec_perm = _inbox_sets(VectorizedNetwork(graph), batches, perm,
-                           use_ports_identity=True)
-    assert vec_same == ref
-    assert vec_perm == ref
+        permuted = _inbox_sets(cls(graph), batches, perm,
+                               use_ports_identity=True)
+        assert same == ref, name
+        assert permuted == ref, name
 
 
 @given(fanout_schedules(),
        st.lists(st.integers(min_value=0, max_value=11), max_size=4))
 @settings(max_examples=25, deadline=None)
-def test_word_accounting_conserved_across_backends(case, wide_words):
+def test_word_accounting_conserved_across_engines(case, wide_words):
     """sum(queued_arc_loads) == total queued slots, on every engine, with
-    the numpy kernel and its pure-python twin agreeing arc-for-arc; after
-    delivery the loads drain and the metrics agree."""
+    the engines agreeing arc-for-arc; after delivery the loads drain and
+    the metrics agree."""
     graph, batches, _ = case
     nets = {name: ENGINES[name](graph, strict=False) for name in ENGINES}
     for net in nets.values():
@@ -138,19 +138,17 @@ def test_word_accounting_conserved_across_backends(case, wide_words):
         expected_slots += slots * ref.degree(src)
         expected_words += w * ref.degree(src)
 
-    vec = nets["vectorized"]
-    loads = vec.queued_arc_loads()
-    assert loads == vec._queued_arc_loads_py()
-    assert loads == nets["fastpath"].queued_arc_loads()
-    assert sum(loads) == expected_slots
-    assert sum(ref.queued_arc_loads()) == expected_slots
+    ref_loads = ref.queued_arc_loads()
+    assert sum(ref_loads) == expected_slots
+    for name, net in nets.items():
+        assert net.queued_arc_loads() == ref_loads, name
 
     for name, net in nets.items():
         net.deliver_batch()
         assert sum(net.queued_arc_loads()) == 0, name
         assert net.metrics.message_words == expected_words, name
-    assert (nets["vectorized"].metrics.to_dict()
-            == nets["reference"].metrics.to_dict())
+    for name, net in nets.items():
+        assert net.metrics.to_dict() == ref.metrics.to_dict(), name
 
 
 _MEM_OPS = st.lists(
@@ -191,8 +189,7 @@ def test_meter_snapshots_agree_across_engines(graph, ops):
         )
         for v in ref.nodes()
     }
-    for name in ("fastpath", "vectorized"):
-        net = nets[name]
+    for name, net in nets.items():
         got = {
             _REPR(v): (
                 dict(net.mem(v).items()),

@@ -210,8 +210,8 @@ class TestExactFreeResetsPin:
     """Regression: an exact-key :meth:`MemoryMeter.free` resolves through
     the item index without scanning any keys, so it resets
     ``last_prefix_scan`` to 0.  Bulk exact-key teardowns (``free_key``
-    issued from a vectorized round close) used to leave the pin stale at
-    whatever an *earlier* ``free_prefix`` had scanned."""
+    issued after a round closes) used to leave the pin stale at whatever
+    an *earlier* ``free_prefix`` had scanned."""
 
     def test_free_resets_stale_pin(self):
         meter = MemoryMeter()
@@ -244,7 +244,7 @@ class TestExactFreeResetsPin:
 
 class TestNetworkBulkFrees:
     """Engine-parametrized: meter state after network-level bulk frees is
-    identical across reference, fastpath, and vectorized."""
+    identical across reference and fastpath."""
 
     def test_free_key_resets_prefix_pin_at_every_vertex(self, engine):
         net = engine(nx.path_graph(4))

@@ -1,8 +1,8 @@
 """Unit tests for the CONGEST network simulator and model enforcement.
 
-Every behavioral test takes the ``engine`` fixture and therefore runs three
-times — reference, fastpath, vectorized — so the engines cannot drift on
-even the smallest contract detail.
+Every behavioral test takes the ``engine`` fixture and therefore runs twice
+— reference and fastpath — so the engines cannot drift on even the
+smallest contract detail.
 """
 
 import networkx as nx

@@ -1,6 +1,10 @@
 """Remaining unit coverage: error types, composite baseline artifacts,
 scheme-level helpers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines.en16_tree import CompositeLabel, CompositeTable
@@ -106,3 +110,13 @@ class TestGraphSchemeHelpers:
         scheme = self._scheme()
         assert scheme.tables["v"].has_tree("s")
         assert not scheme.tables["u"].has_tree("s")
+
+
+class TestDependencies:
+    def test_core_packages_do_not_import_numpy(self):
+        """networkx is the only third-party runtime dependency: importing
+        the library, the serving tier and the shard tier loads no numpy."""
+        script = ("import sys, repro, repro.serve, repro.shard\n"
+                  "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)

@@ -1,10 +1,7 @@
 """Tests for repro.shard.tables: seal/attach round-trips, byte parity,
-shared-memory lifecycle, and the REPRO_NO_NUMPY buffer twin."""
+and the shared-memory lifecycle."""
 
 import glob
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.serve import (
 )
 from repro.serve.workloads import make_workload
 from repro.shard.tables import (
-    HAVE_NUMPY,
     NO_ID,
     TABLE_FORMAT,
     AttachedTables,
@@ -182,36 +178,6 @@ class TestSharedMemory:
 
 
 class TestBackendParity:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_payload_bytes_identical(self, built):
-        _, compiled = built
-        a = lower_compiled(compiled, backend="numpy")
-        b = lower_compiled(compiled, backend="python")
-        assert a.manifest["arrays"] == b.manifest["arrays"]
-        assert bytes(a.payload) == bytes(b.payload)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_no_numpy_twin_subprocess(self, built, tmp_path):
-        """REPRO_NO_NUMPY=1 writes the byte-identical image (arc parity)."""
-        graph, compiled = built
-        ref = lower_compiled(compiled)
-        blob = tmp_path / "python-backend.bin"
-        script = (
-            "from repro.graphs import random_connected_graph\n"
-            "from repro.tz import build_centralized_scheme\n"
-            "from repro.serve import compile_scheme\n"
-            "from repro.shard.tables import lower_compiled, HAVE_NUMPY\n"
-            "assert not HAVE_NUMPY\n"
-            "g = random_connected_graph(60, seed=21)\n"
-            "c = compile_scheme(build_centralized_scheme(g, 3, seed=21), g)\n"
-            "lo = lower_compiled(c)\n"
-            f"open({str(blob)!r}, 'wb').write(bytes(lo.payload))\n"
-        )
-        env = dict(os.environ, REPRO_NO_NUMPY="1",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
-        assert blob.read_bytes() == bytes(ref.payload)
-
     def test_weird_node_ids_roundtrip(self):
         """String/tuple/bool/float ids survive interning distinctly."""
         import networkx as nx
