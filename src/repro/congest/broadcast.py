@@ -16,14 +16,20 @@ round count
 delivers every payload to the caller, and records ``M * (n - 1 + height)``
 message events.  Memory: each origin holds its own items (caller-charged);
 relay vertices on the upcast may buffer items, which the paper bounds with
-random start times (proof of Lemma 2); we charge an explicit
-``relay/broadcast`` buffer of ``O(log n)`` words at every tree vertex for the
-duration of the call and free it on exit.
+random start times (proof of Lemma 2); we charge a relay buffer of
+``O(log n)`` words at every tree vertex for the duration of the call.
+
+The buffer lives only inside the one ``charge_rounds`` call of the
+pipeline, so it is charged as a *transient*
+(:meth:`~repro.congest.network.Network.charge_transient`): every vertex's
+high-water rises to ``current + buffer`` and no key is stored.  A key
+stored before the charge and freed after it would leave the same
+high-water, and no round observer or snapshot could see it in between.
 
 The inverse primitive :func:`convergecast_aggregate` aggregates a value from
 all vertices to the root with a combining function (used for global minima /
 counts); it costs ``height`` rounds and O(1) words per vertex because partial
-aggregates are combined in place.
+aggregates are combined in place (one transient word per vertex).
 """
 
 from __future__ import annotations
@@ -71,13 +77,12 @@ def broadcast_all(
         # Transit buffers on the pipeline: O(log n) words per relay vertex,
         # whp (random start times, cf. the proof of Lemma 2).
         buffer_words = max(1, int(math.log2(max(2, net.n))))
-        net.store_all("relay/broadcast", buffer_words)
+        net.charge_transient(buffer_words)
         net.charge_rounds(
             rounds,
             messages=slots * (net.n - 1 + height),
             words=total_words * (net.n - 1 + height),
         )
-        net.free_key("relay/broadcast")
         net.end_phase()
     indexed = sorted(enumerate(items), key=lambda pair: (repr(pair[1][0]), pair[0]))
     return [payload for _, (_, payload) in indexed]
@@ -100,9 +105,8 @@ def convergecast_aggregate(
     """
     height = bfs.height
     net.begin_phase(phase)
-    net.store_all("relay/convergecast", 1)
+    net.charge_transient(1)
     net.charge_rounds(height, messages=net.n - 1, words=net.n - 1)
-    net.free_key("relay/convergecast")
     net.end_phase()
     result = None
     for v in net.nodes():

@@ -74,7 +74,7 @@ from ..errors import CongestModelViolation, InputError
 from ..telemetry import events as _tele
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
-from .memory import MemoryMeter
+from .memory import MemoryMeter, MeterBank
 from .message import Message
 from .metrics import RunMetrics
 
@@ -105,7 +105,7 @@ class Network:
         self.strict = strict
         self.rng = random.Random(seed)
         self.metrics = RunMetrics()
-        self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
+        self._meters = MeterBank(graph)
         self._outbox: List[Message] = []
         #: Words queued in ``_outbox``, accumulated at send time so closing
         #: a round never re-walks the outbox to sum message widths.
@@ -245,19 +245,29 @@ class Network:
         to the meter's prefix index; when the key is exact, use
         :meth:`free_key`.
         """
-        for meter in self._meters.values():
-            meter.free_prefix(prefix)
+        self._meters.free_prefix(prefix)
 
     def free_key(self, key: str) -> None:
-        """Free one exact key at every vertex (O(n), no key scans)."""
-        for meter in self._meters.values():
-            meter.free(key)
+        """Free one exact key wherever it is held (stage teardown).
+
+        Walks the holder index, so the cost is O(vertices holding ``key``),
+        not O(n); vertices that do not hold it are not visited.
+        """
+        self._meters.free_key(key)
 
     def store_all(self, key: str, words: int) -> None:
         """Store ``words`` under ``key`` at every vertex (stage setup; the
         inverse of :meth:`free_key` for uniform per-vertex buffers)."""
-        for meter in self._meters.values():
-            meter.store(key, words)
+        self._meters.store_all(key, words)
+
+    def charge_transient(self, words: int) -> None:
+        """Charge ``words`` at every vertex for the duration of one
+        cost-charged phase: each high-water rises to ``current + words``
+        if that is higher, and no key is stored.  The same final meter
+        state as ``store_all(fresh, words); free_key(fresh)``, without the
+        per-vertex dict work (Lemma 1 relay buffers, :mod:`.broadcast`).
+        """
+        self._meters.charge_transient(words)
 
     # -- observation -----------------------------------------------------------
 

@@ -36,7 +36,7 @@ from ..errors import CongestModelViolation, InputError
 from ..telemetry import events as _tele
 from ..telemetry import flight as _flight
 from ..wordsize import words_of
-from .memory import MemoryMeter
+from .memory import MemoryMeter, MeterBank
 from .message import Message
 
 NodeId = Hashable
@@ -70,7 +70,7 @@ class ReferenceNetwork:
         self.strict = strict
         self.rng = random.Random(seed)
         self.metrics = RunMetrics()
-        self._meters: Dict[NodeId, MemoryMeter] = {v: MemoryMeter() for v in graph}
+        self._meters = MeterBank(graph)
         self._outbox: List[Message] = []
         self._edge_load: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
         self._round_observers: List[Any] = []
@@ -124,18 +124,21 @@ class ReferenceNetwork:
 
     def free_all(self, prefix: str) -> None:
         """Free the given key prefix at every vertex (stage teardown)."""
-        for meter in self._meters.values():
-            meter.free_prefix(prefix)
+        self._meters.free_prefix(prefix)
 
     def free_key(self, key: str) -> None:
-        """Free one exact key at every vertex (O(n), no key scans)."""
-        for meter in self._meters.values():
-            meter.free(key)
+        """Free one exact key at the vertices holding it (holder index:
+        O(holders), not O(n))."""
+        self._meters.free_key(key)
 
     def store_all(self, key: str, words: int) -> None:
         """Store ``words`` under ``key`` at every vertex (stage setup)."""
-        for meter in self._meters.values():
-            meter.store(key, words)
+        self._meters.store_all(key, words)
+
+    def charge_transient(self, words: int) -> None:
+        """Raise every high-water to ``current + words`` without storing a
+        key (a relay buffer living inside one charged phase)."""
+        self._meters.charge_transient(words)
 
     # -- observation -----------------------------------------------------------
 

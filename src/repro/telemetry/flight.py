@@ -16,7 +16,7 @@ When attached it samples, every ``stride``-th simulated round:
 * per-vertex :class:`~repro.congest.memory.MemoryMeter` current /
   high-water words, **delta-encoded** (only vertices whose values changed
   since the previous sample are stored);
-* the per-key-prefix breakdown (``tree/``, ``relay/``, ...) summed over
+* the per-key-prefix breakdown (``tree/``, ``hopset/``, ...) summed over
   vertices (:meth:`MemoryMeter.snapshot`);
 * that round's traffic and its ``top_edges`` busiest edges.
 

@@ -15,6 +15,10 @@ replays pinned by the differential matrix:
   memory ops (``store_all`` / ``free_key`` / ``free_all``) and per-vertex
   meter ops leaves identical meter state (items, high-water, prefix-scan
   pin) on every engine.
+* **Transient-charge equivalence** — after any interleaving of meter ops,
+  ``charge_transient(w)`` leaves the same meter state as storing and then
+  freeing a fresh key of ``w`` words everywhere, and the holder index that
+  ``free_key`` walks names exactly the meters holding each key.
 
 Examples are kept modest (the differential fuzzer already hammers volume);
 these exist to let hypothesis *shrink* any structural counterexample.
@@ -199,3 +203,76 @@ def test_meter_snapshots_agree_across_engines(graph, ops):
             for v in net.nodes()
         }
         assert got == expect, name
+
+
+_KEYS = ["t/a", "t/b", "relay/buf", "plain"]
+
+#: Per-vertex ops name a vertex by index (taken modulo n); network-level
+#: ops apply everywhere.
+_METER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["store", "add"]), st.integers(0, 7),
+                  st.sampled_from(_KEYS), st.integers(0, 9)),
+        st.tuples(st.just("free"), st.integers(0, 7),
+                  st.sampled_from(_KEYS + ["ghost"])),
+        st.tuples(st.just("free_prefix"), st.integers(0, 7),
+                  st.sampled_from(["t/", "relay/", "pl", "nope/"])),
+        st.tuples(st.just("store_all"), st.sampled_from(_KEYS),
+                  st.integers(0, 9)),
+        st.tuples(st.just("free_key"), st.sampled_from(_KEYS + ["ghost"])),
+        st.tuples(st.just("charge_transient"), st.integers(0, 9)),
+    ),
+    max_size=16,
+)
+
+
+def _apply(net, nodes, op):
+    name = op[0]
+    if name in ("store", "add", "free", "free_prefix"):
+        meter = net.mem(nodes[op[1] % len(nodes)])
+        getattr(meter, name)(*op[2:])
+    else:
+        getattr(net, name)(*op[1:])
+
+
+def _meter_state(net):
+    return {
+        _REPR(v): (
+            sorted(net.mem(v).items()),
+            net.mem(v).snapshot(),
+            net.mem(v).current,
+            net.mem(v).high_water,
+        )
+        for v in net.nodes()
+    }
+
+
+def _holders_by_brute_force(net):
+    out = {}
+    for v in net.nodes():
+        for key, _ in net.mem(v).items():
+            out.setdefault(key, set()).add(id(net.mem(v)))
+    return out
+
+
+@given(small_graphs(max_size=8), _METER_OPS, st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_charge_transient_equals_store_then_free(graph, ops, words):
+    """``charge_transient(w)`` == ``store_all(fresh, w); free_key(fresh)``
+    in items, snapshot, current and high-water, after any interleaving;
+    the holder index always equals the set of meters holding each key."""
+    nodes = sorted(graph.nodes, key=_REPR)
+    for name, cls in ENGINES.items():
+        keyless, keyed = cls(graph), cls(graph)
+        for net in (keyless, keyed):
+            for op in ops:
+                _apply(net, nodes, op)
+        assert _meter_state(keyless) == _meter_state(keyed), name
+        keyless.charge_transient(words)
+        keyed.store_all("fresh/relay", words)
+        keyed.free_key("fresh/relay")
+        assert _meter_state(keyless) == _meter_state(keyed), name
+        for net in (keyless, keyed):
+            index = {key: {id(m) for m in meters}
+                     for key, meters in net._meters.holders.items()}
+            assert index == _holders_by_brute_force(net), name

@@ -265,3 +265,45 @@ class TestNetworkBulkFrees:
         net.free_key("relay/buf")
         assert net.max_memory() == 4
         assert all(net.mem(v).current == 0 for v in net.nodes())
+
+    def test_free_key_visits_holders_only(self, engine):
+        net = engine(nx.path_graph(4))
+        for v in net.nodes():
+            net.mem(v).store("tree/a", 2)
+        net.free_all("tree/")  # every vertex pins a scan count of 1
+        net.mem(0).store("stage/scratch", 5)
+        net.free_key("stage/scratch")
+        assert net.mem(0).last_prefix_scan == 0  # the holder reset its pin
+        assert all(net.mem(v).last_prefix_scan == 1 for v in (1, 2, 3))
+        assert net.mem(0).current == 0 and net.mem(0).high_water == 5
+
+
+class TestTransientCharge:
+    def test_raises_high_water_without_storing(self):
+        meter = MemoryMeter()
+        meter.store("tree/a", 3)
+        meter.charge_transient(4)
+        assert meter.high_water == 7
+        assert meter.current == 3
+        assert dict(meter.items()) == {"tree/a": 3}
+
+    def test_below_high_water_changes_nothing(self):
+        meter = MemoryMeter()
+        meter.store("tree/a", 10)
+        meter.store("tree/a", 1)
+        meter.charge_transient(4)
+        assert meter.high_water == 10
+
+    def test_negative_rejected(self):
+        with pytest.raises(MemoryAccountingError):
+            MemoryMeter().charge_transient(-1)
+
+    def test_network_charges_every_vertex(self, engine):
+        net = engine(nx.path_graph(3))
+        net.mem(1).store("tree/a", 2)
+        net.charge_transient(3)
+        assert net.memory_high_water() == {0: 3, 1: 5, 2: 3}
+        assert all(net.mem(v).snapshot() == ({"tree/": 2} if v == 1 else {})
+                   for v in net.nodes())
+        with pytest.raises(MemoryAccountingError):
+            net.charge_transient(-1)

@@ -7,10 +7,11 @@ or memory accounting -- e.g. a stage that forgets to free scratch memory,
 or a charge formula that silently doubles.
 """
 
+import networkx as nx
 import pytest
 
 from repro.baselines import build_en16_tree_scheme
-from repro.congest import Network
+from repro.congest import MemoryMeter, Network, build_bfs_tree
 from repro.core import build_distributed_scheme
 from repro.graphs import random_connected_graph, spanning_tree_of
 from repro.treerouting import build_distributed_tree_scheme
@@ -84,3 +85,44 @@ class TestGeneralSchemeBudgets:
 
     def test_labels_budget(self, report):
         assert report.scheme.max_label_words() <= 40
+
+
+class TestSparseTeardown:
+    """A cluster tree's build touches the meters of its own vertices only.
+
+    Stage teardowns free exact keys through the network's holder index and
+    Lemma 1 relay buffers are keyless transients, so building the scheme of
+    a small subtree inside a large graph never stores or frees at a vertex
+    outside the subtree.  With O(n) teardowns the general-graph build costs
+    O(n) per cluster tree, O(n^2) in all.
+    """
+
+    def test_subtree_build_stays_on_the_subtree(self, monkeypatch):
+        graph = random_connected_graph(2000, seed=233)
+        net = Network(graph)
+        bfs = build_bfs_tree(net)
+        root = min(graph.nodes, key=repr)
+        parent = {root: None}
+        for u, v in nx.bfs_edges(graph, root):
+            if len(parent) == 30:
+                break
+            parent[v] = u
+        owner = {id(net.mem(v)): v for v in net.nodes()}
+        touched = []
+        real_store, real_free = MemoryMeter.store, MemoryMeter.free
+
+        def store(meter, key, words):
+            touched.append(owner.get(id(meter)))
+            real_store(meter, key, words)
+
+        def free(meter, key):
+            touched.append(owner.get(id(meter)))
+            real_free(meter, key)
+
+        monkeypatch.setattr(MemoryMeter, "store", store)
+        monkeypatch.setattr(MemoryMeter, "free", free)
+        build_distributed_tree_scheme(net, parent, seed=23, bfs=bfs,
+                                      mem_prefix="ct")
+        assert touched, "the tree build stored nothing"
+        outside = {v for v in touched if v not in parent}
+        assert not outside, f"{len(outside)} vertices outside the subtree"
