@@ -195,6 +195,7 @@ def run_table1(
 
     # [ABNLP90]-style hierarchical tree cover (aspect-ratio-dependent).
     cover = build_tree_cover_scheme(graph, seed=seed)
+    from ..graphs.csr import CSRGraph
     from ..graphs.paths import dijkstra as _dijkstra
 
     worst = mean = 0.0
@@ -202,8 +203,9 @@ def run_table1(
     for u, v in pair_sample:
         by_source.setdefault(u, []).append(v)
     count = 0
+    csr = CSRGraph(graph)
     for u, targets in by_source.items():
-        dist, _ = _dijkstra(graph, [u])
+        dist, _ = _dijkstra(csr, [u])
         for v in targets:
             _, length = route_cover(cover, graph, u, v)
             stretch = length / dist[v] if dist[v] > 0 else 1.0

@@ -1,7 +1,8 @@
 """Graph toolkit (substrate S3 of DESIGN.md): generators, reference
-shortest-path algorithms, rooted-tree utilities, and the implicit virtual
-graph oracle of Appendix B."""
+shortest-path algorithms on an integer-indexed graph snapshot, rooted-tree
+utilities, and the implicit virtual graph oracle of Appendix B."""
 
+from .csr import CSRGraph
 from .generators import (
     caterpillar_tree,
     grid_graph,
@@ -52,6 +53,7 @@ from .weights import (
 )
 
 __all__ = [
+    "CSRGraph",
     "VirtualGraphOracle",
     "aspect_ratio",
     "assign_log_uniform_weights",

@@ -5,6 +5,13 @@ are validated, plus the *hop-bounded* Bellman-Ford that both the paper's
 definitions (t-bounded distances ``d^{(t)}``, Section 2) and the distributed
 explorations rely on.
 
+Every routine runs on a :class:`~repro.graphs.csr.CSRGraph`, the
+integer-indexed snapshot of the graph.  Each accepts an ``nx.Graph`` too
+and then takes the snapshot on entry, which costs O(m): a caller that runs
+the routines in a loop (one Dijkstra per source, one limited exploration
+per cluster root) takes the snapshot once and passes it in.  Results are
+keyed by the node objects and do not depend on which form was passed.
+
 Notation from the paper:
 
 * ``d_G(u, v)``        -- weighted shortest-path distance;
@@ -13,6 +20,9 @@ Notation from the paper:
 * ``h(u, v)``          -- the number of edges of the (minimum-hop) shortest
   path realizing ``d_G(u, v)`` (Appendix B uses vertices-on-path; we use
   edge count and adjust constants accordingly).
+
+Ties resolve by ``repr`` order of the vertices (the snapshot numbers them
+in that order), so every output is deterministic.
 """
 
 from __future__ import annotations
@@ -24,13 +34,14 @@ from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 import networkx as nx
 
 from ..errors import InputError
+from .csr import CSRGraph, GraphLike
 
 NodeId = Hashable
 INF = math.inf
 
 
 def dijkstra(
-    graph: nx.Graph,
+    graph: GraphLike,
     sources: Iterable[NodeId],
     *,
     predicate: Optional[Callable[[NodeId, float], bool]] = None,
@@ -43,70 +54,78 @@ def dijkstra(
     relax their neighbours).  Returns ``(dist, parent)``; unreached vertices
     are absent.
     """
-    dist: Dict[NodeId, float] = {}
-    parent: Dict[NodeId, Optional[NodeId]] = {}
+    csr = CSRGraph.of(graph)
+    nodes, rows = csr.nodes, csr.rows
+    dist: Dict[int, float] = {}
+    parent: Dict[int, Optional[NodeId]] = {}
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
     for s in sources:
-        dist[s] = 0.0
-        parent[s] = None
-        heapq.heappush(heap, (0.0, repr(s), s))
+        i = csr.id_of(s)
+        dist[i] = 0.0
+        parent[i] = None
+        push(heap, (0.0, i))
+    get = dist.get
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
+        d, u = pop(heap)
+        if d > dist[u]:
             continue
-        if predicate is not None and not predicate(u, d):
+        node = nodes[u]
+        if predicate is not None and not predicate(node, d):
             continue
-        for v in graph.neighbors(u):
-            nd = d + float(graph[u][v].get("weight", 1.0))
-            if nd < dist.get(v, INF):
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < get(v, INF):
                 dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, repr(v), v))
-    return dist, parent
+                parent[v] = node
+                push(heap, (nd, v))
+    return ({nodes[i]: d for i, d in dist.items()},
+            {nodes[i]: p for i, p in parent.items()})
 
 
-def distances_to_set(graph: nx.Graph, targets: Iterable[NodeId]) -> Dict[NodeId, float]:
+def distances_to_set(graph: GraphLike, targets: Iterable[NodeId]) -> Dict[NodeId, float]:
     """``d_G(v, S)`` for every vertex ``v`` (used for pivot distances)."""
-    targets = list(targets)
-    if not targets:
-        return {v: INF for v in graph.nodes}
-    dist, _ = dijkstra(graph, targets)
-    return {v: dist.get(v, INF) for v in graph.nodes}
+    return nearest_in_set(graph, targets)[0]
 
 
 def nearest_in_set(
-    graph: nx.Graph, targets: Iterable[NodeId]
+    graph: GraphLike, targets: Iterable[NodeId]
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]]]:
     """For every vertex: distance to the nearest target and *which* target.
 
     Implemented as multi-source Dijkstra that propagates the source identity
     along shortest-path trees (the classical "Voronoi" construction).
     """
-    targets = list(targets)
-    dist: Dict[NodeId, float] = {}
-    owner: Dict[NodeId, Optional[NodeId]] = {}
+    csr = CSRGraph.of(graph)
+    nodes, rows = csr.nodes, csr.rows
+    dist: Dict[int, float] = {}
+    owner: Dict[int, int] = {}
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
     for s in targets:
-        dist[s] = 0.0
-        owner[s] = s
-        heapq.heappush(heap, (0.0, repr(s), s, s))
+        i = csr.id_of(s)
+        dist[i] = 0.0
+        owner[i] = i
+        push(heap, (0.0, i, i))
+    get = dist.get
     while heap:
-        d, _, u, src = heapq.heappop(heap)
-        if d > dist.get(u, INF) or owner.get(u) != src:
+        d, u, src = pop(heap)
+        if d > dist[u] or owner[u] != src:
             continue
-        for v in graph.neighbors(u):
-            nd = d + float(graph[u][v].get("weight", 1.0))
-            if nd < dist.get(v, INF):
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < get(v, INF):
                 dist[v] = nd
                 owner[v] = src
-                heapq.heappush(heap, (nd, repr(v), v, src))
-    full_dist = {v: dist.get(v, INF) for v in graph.nodes}
-    full_owner = {v: owner.get(v) for v in graph.nodes}
+                push(heap, (nd, v, src))
+    full_dist = {nodes[i]: get(i, INF) for i in csr.order}
+    full_owner = {nodes[i]: nodes[owner[i]] if i in owner else None
+                  for i in csr.order}
     return full_dist, full_owner
 
 
 def bounded_bellman_ford(
-    graph: nx.Graph,
+    graph: GraphLike,
     sources: Mapping[NodeId, float],
     hops: int,
     *,
@@ -125,54 +144,70 @@ def bounded_bellman_ford(
     full pass changes nothing (then ``d^{(t)} = d^{(hops)}`` for all larger
     ``t``), which the caller may *not* use to reduce charged rounds -- the
     exploration still occupies ``hops`` rounds in the distributed execution.
+
+    Parent ties resolve in the iteration order of the per-pass frontier, a
+    set of node objects: for string labels that order depends on the hash
+    seed, exactly as the distributed relaxation order would.
     """
     if hops < 0:
         raise InputError("hops must be non-negative")
-    dist: Dict[NodeId, float] = dict(sources)
-    parent: Dict[NodeId, Optional[NodeId]] = {s: None for s in sources}
+    csr = CSRGraph.of(graph)
+    nodes, index, rows = csr.nodes, csr.index, csr.rows
+    dist: Dict[int, float] = {csr.id_of(s): d for s, d in sources.items()}
+    parent: Dict[int, Optional[NodeId]] = dict.fromkeys(dist)
     frontier = set(sources)
     iterations = 0
+    get = dist.get
     for _ in range(hops):
         if not frontier:
             break
         iterations += 1
-        updates: Dict[NodeId, Tuple[float, NodeId]] = {}
+        best: Dict[int, float] = {}
+        via: Dict[int, NodeId] = {}
+        best_get = best.get
         for u in frontier:
-            du = dist[u]
+            ui = index[u]
+            du = dist[ui]
             if forward_if is not None and not forward_if(u, du):
                 continue
-            for v in graph.neighbors(u):
-                nd = du + float(graph[u][v].get("weight", 1.0))
-                if nd < dist.get(v, INF) and nd < updates.get(v, (INF, None))[0]:
-                    updates[v] = (nd, u)
+            for v, w in rows[ui]:
+                nd = du + w
+                if nd < get(v, INF) and nd < best_get(v, INF):
+                    best[v] = nd
+                    via[v] = u
         frontier = set()
-        for v, (nd, via) in updates.items():
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                parent[v] = via
-                frontier.add(v)
-    return dist, parent, iterations
+        for v, nd in best.items():
+            dist[v] = nd
+            parent[v] = via[v]
+            frontier.add(nodes[v])
+    return ({nodes[i]: d for i, d in dist.items()},
+            {nodes[i]: p for i, p in parent.items()},
+            iterations)
 
 
-def hop_counts(graph: nx.Graph, source: NodeId) -> Dict[NodeId, int]:
+def hop_counts(graph: GraphLike, source: NodeId) -> Dict[NodeId, int]:
     """Minimum number of hops of a *weighted shortest* path from ``source``.
 
     Computed by Dijkstra on the lexicographic key (distance, hops), so ties
     in distance resolve to the fewest-hops path -- this is the quantity
     ``h(u, v)`` bounded by Claim 8.
     """
-    dist: Dict[NodeId, Tuple[float, int]] = {source: (0.0, 0)}
-    heap = [(0.0, 0, repr(source), source)]
+    csr = CSRGraph.of(graph)
+    rows = csr.rows
+    s = csr.id_of(source)
+    dist: Dict[int, Tuple[float, int]] = {s: (0.0, 0)}
+    heap = [(0.0, 0, s)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, h, _, u = heapq.heappop(heap)
-        if (d, h) > dist.get(u, (INF, 0)):
+        d, h, u = pop(heap)
+        if (d, h) > dist[u]:
             continue
-        for v in graph.neighbors(u):
-            cand = (d + float(graph[u][v].get("weight", 1.0)), h + 1)
+        for v, w in rows[u]:
+            cand = (d + w, h + 1)
             if cand < dist.get(v, (INF, 0)):
                 dist[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], repr(v), v))
-    return {v: dh[1] for v, dh in dist.items()}
+                push(heap, (cand[0], cand[1], v))
+    return {csr.nodes[i]: dh[1] for i, dh in dist.items()}
 
 
 def shortest_path_diameter(graph: nx.Graph) -> int:
@@ -180,9 +215,10 @@ def shortest_path_diameter(graph: nx.Graph) -> int:
 
     Exact and O(n * m log n); only call on small graphs (tests, reporting).
     """
+    csr = CSRGraph(graph)
     worst = 0
     for source in graph.nodes:
-        hops = hop_counts(graph, source)
+        hops = hop_counts(csr, source)
         worst = max(worst, max(hops.values()))
     return worst
 

@@ -7,6 +7,7 @@ from typing import Dict, Hashable, Mapping, Optional
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
+from .csr import CSRGraph
 from .paths import hop_counts
 from .trees import children_map, tree_root
 
@@ -52,9 +53,9 @@ def verify_claim7(
     contain a virtual vertex.  Samples a few sources (exact check is
     all-pairs).  Returns True when no violation was found."""
     virtual = set(virtual_vertices)
-    sources = sorted(graph.nodes, key=repr)[:sample_sources]
-    for s in sources:
-        hops = hop_counts(graph, s)
+    csr = CSRGraph(graph)
+    for s in csr.nodes[:sample_sources]:
+        hops = hop_counts(csr, s)
         import networkx as _nx
 
         paths = _nx.single_source_dijkstra_path(graph, s, weight="weight")

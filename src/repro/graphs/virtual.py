@@ -29,6 +29,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, 
 import networkx as nx
 
 from ..errors import InputError
+from .csr import CSRGraph
 from .paths import bounded_bellman_ford
 
 NodeId = Hashable
@@ -47,7 +48,11 @@ def default_hop_bound(n: int, c: float = 2.0) -> int:
 
 
 class VirtualGraphOracle:
-    """B-bounded-distance access to the implicit virtual graph."""
+    """B-bounded-distance access to the implicit virtual graph.
+
+    The oracle treats ``graph`` as fixed: it takes one snapshot of it at
+    construction, and every exploration runs on that snapshot.
+    """
 
     def __init__(
         self,
@@ -56,6 +61,7 @@ class VirtualGraphOracle:
         hop_bound: int,
     ) -> None:
         self.graph = graph
+        self._csr = CSRGraph(graph)
         self.virtual_vertices: List[NodeId] = sorted(set(virtual_vertices), key=repr)
         self._virtual_set: Set[NodeId] = set(self.virtual_vertices)
         if hop_bound < 1:
@@ -90,7 +96,7 @@ class VirtualGraphOracle:
         proof of Lemma 2.
         """
         dist, parent, _ = bounded_bellman_ford(
-            self.graph,
+            self._csr,
             dict(estimates),
             self.hop_bound,
             forward_if=forward_if,
@@ -110,7 +116,7 @@ class VirtualGraphOracle:
             raise InputError(f"{v!r} is not a virtual vertex")
         if v in self._row_cache:
             return self._row_cache[v]
-        dist, _, _ = bounded_bellman_ford(self.graph, {v: 0.0}, self.hop_bound)
+        dist, _, _ = bounded_bellman_ford(self._csr, {v: 0.0}, self.hop_bound)
         row = {
             u: d
             for u, d in dist.items()

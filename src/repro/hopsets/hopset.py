@@ -33,6 +33,7 @@ from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 import networkx as nx
 
 from ..errors import InputError, InvariantViolation
+from ..graphs.csr import CSRGraph
 from ..graphs.paths import bounded_bellman_ford, dijkstra
 
 NodeId = Hashable
@@ -146,11 +147,11 @@ def measure_hopbound(
 ) -> int:
     """The smallest β with ``d^{(β)}_{G'∪H} <= (1+ε) d_{G'}`` over sampled
     sources (exact over their full rows).  Tests-only: materializes G'."""
-    union = union_graph(virtual_graph, hopset)
-    sources = sorted(virtual_graph.nodes, key=repr)[:sample_sources]
+    union = CSRGraph(union_graph(virtual_graph, hopset))
+    virtual = CSRGraph(virtual_graph)
     worst_beta = 1
-    for s in sources:
-        exact, _ = dijkstra(virtual_graph, [s])
+    for s in virtual.nodes[:sample_sources]:
+        exact, _ = dijkstra(virtual, [s])
         lo, hi = 1, max_beta
         # The β needed for this source: binary search over bounded BF depth.
         def ok(beta: int) -> bool:

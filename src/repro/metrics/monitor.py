@@ -27,6 +27,7 @@ from typing import Any, Dict, Hashable, List, Optional, TextIO, Tuple
 
 import networkx as nx
 
+from ..graphs.csr import CSRGraph
 from ..graphs.paths import dijkstra
 from ..telemetry.bounds import BoundVerdict
 from ..telemetry.runrecord import RunRecord, make_run_record
@@ -189,6 +190,7 @@ def run_monitor(
     route_recorded = engine.route_recorded
     observe = metrics.observe_query
     dists: Dict[NodeId, Dict[NodeId, float]] = {}
+    csr = CSRGraph(graph)
     tick = 1.0 / target_qps
     serve_started = perf_counter()
     for i, (u, v) in enumerate(pairs):
@@ -200,7 +202,7 @@ def run_monitor(
         if slo_bound is not None and result.ok:
             dist = dists.get(u)
             if dist is None:
-                dist, _ = dijkstra(graph, [u])
+                dist, _ = dijkstra(csr, [u])
                 dists[u] = dist
             exact = dist.get(v, 0.0)
             stretch = result.length / exact if exact > 0 else 1.0

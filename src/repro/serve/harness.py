@@ -32,6 +32,7 @@ from typing import (
 
 import networkx as nx
 
+from ..graphs.csr import CSRGraph
 from ..graphs.paths import dijkstra
 from ..metrics.serve import ServeMetrics, exemplar_payload
 
@@ -599,13 +600,18 @@ def _per_query_stretch(
     results: Sequence[ServeResult],
 ) -> List[Optional[float]]:
     """Stretch per query (None for failures, which count as violations),
-    one Dijkstra per distinct source like ``measure_stretch``."""
+    one Dijkstra per distinct source like ``measure_stretch``.
+
+    The Dijkstras run on one snapshot of ``graph`` taken here, so a graph
+    changed between two calls is read afresh by the second.
+    """
     by_source: Dict[NodeId, List[int]] = {}
     for i, r in enumerate(results):
         by_source.setdefault(r.source, []).append(i)
     out: List[Optional[float]] = [None] * len(results)
+    csr = CSRGraph(graph)
     for source, indices in by_source.items():
-        dist, _ = dijkstra(graph, [source])
+        dist, _ = dijkstra(csr, [source])
         for i in indices:
             r = results[i]
             if not r.ok:

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..errors import InputError
+from ..graphs.csr import CSRGraph
 from ..graphs.paths import dijkstra
 
 NodeId = Hashable
@@ -136,8 +137,9 @@ def adversarial_pairs(
     for u, v in pool:
         by_source.setdefault(u, []).append(v)
     scored: List[Tuple[float, Pair]] = []
+    csr = CSRGraph(graph)
     for u, targets in by_source.items():
-        dist, _ = dijkstra(graph, [u])
+        dist, _ = dijkstra(csr, [u])
         for v in targets:
             routed = route_length(u, v)
             if routed is None:

@@ -29,6 +29,7 @@ from typing import Dict, Hashable, Iterable, Optional
 
 import networkx as nx
 
+from ..graphs.csr import CSRGraph, GraphLike
 from ..graphs.paths import dijkstra
 from .model import QueryTrace
 
@@ -39,12 +40,13 @@ def attribute_traces(graph: nx.Graph, traces: Iterable[QueryTrace]) -> None:
     """Attribute every successful trace in place, caching one Dijkstra
     per distinct target."""
     cache: Dict[NodeId, Dict[NodeId, float]] = {}
+    csr = CSRGraph(graph)
     for trace in traces:
-        attribute(graph, trace, cache)
+        attribute(csr, trace, cache)
 
 
 def attribute(
-    graph: nx.Graph,
+    graph: GraphLike,
     trace: QueryTrace,
     dist_cache: Optional[Dict[NodeId, Dict[NodeId, float]]] = None,
 ) -> None:

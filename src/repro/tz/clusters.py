@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import InvariantViolation
+from ..graphs.csr import CSRGraph, GraphLike
 from ..graphs.paths import dijkstra, nearest_in_set
 from .hierarchy import Hierarchy
 
@@ -48,13 +47,14 @@ class PivotInfo:
         return self.dist[i + 1][v]
 
 
-def compute_pivots(graph: nx.Graph, hierarchy: Hierarchy) -> PivotInfo:
+def compute_pivots(graph: GraphLike, hierarchy: Hierarchy) -> PivotInfo:
     """Exact pivots for every level: k multi-source Dijkstra runs."""
+    csr = CSRGraph.of(graph)
     dist: List[Dict[NodeId, float]] = []
     pivot: List[Dict[NodeId, Optional[NodeId]]] = []
     for i in range(hierarchy.k):
         level = hierarchy.set_at(i)
-        d, owner = nearest_in_set(graph, level)
+        d, owner = nearest_in_set(csr, level)
         dist.append(d)
         pivot.append(owner)
     return PivotInfo(dist=dist, pivot=pivot)
@@ -82,7 +82,7 @@ class ClusterTree:
 
 
 def exact_cluster_tree(
-    graph: nx.Graph,
+    graph: GraphLike,
     root: NodeId,
     level: int,
     pivots: PivotInfo,
@@ -90,7 +90,8 @@ def exact_cluster_tree(
     """Compute ``C(root)`` by limited Dijkstra (Eq. 1).
 
     A vertex continues the exploration iff it is a member, i.e. its distance
-    from ``root`` is strictly below its distance to ``A_{level+1}``.
+    from ``root`` is strictly below its distance to ``A_{level+1}``.  A
+    caller computing many clusters passes one snapshot of the graph.
     """
 
     def in_cluster(v: NodeId, d: float) -> bool:
@@ -110,15 +111,17 @@ def exact_cluster_tree(
 
 
 def all_cluster_trees(
-    graph: nx.Graph, hierarchy: Hierarchy, pivots: Optional[PivotInfo] = None
+    graph: GraphLike, hierarchy: Hierarchy, pivots: Optional[PivotInfo] = None
 ) -> Dict[NodeId, ClusterTree]:
-    """Every vertex's cluster tree, keyed by the cluster root."""
+    """Every vertex's cluster tree, keyed by the cluster root (``repr``
+    order)."""
+    csr = CSRGraph.of(graph)
     if pivots is None:
-        pivots = compute_pivots(graph, hierarchy)
+        pivots = compute_pivots(csr, hierarchy)
     trees: Dict[NodeId, ClusterTree] = {}
-    for root in sorted(graph.nodes, key=repr):
+    for root in csr.nodes:
         level = hierarchy.level_of[root]
-        trees[root] = exact_cluster_tree(graph, root, level, pivots)
+        trees[root] = exact_cluster_tree(csr, root, level, pivots)
     return trees
 
 

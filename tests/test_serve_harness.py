@@ -2,10 +2,12 @@
 
 import json
 
+import networkx as nx
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.graphs import random_connected_graph, spanning_tree_of
+from repro.routing import measure_stretch, route_in_graph
 from repro.serve import (
     SKETCH_ACCURACY,
     ServeEngine,
@@ -13,6 +15,7 @@ from repro.serve import (
     percentile,
     run_serving,
     run_serving_recorded,
+    serve_pairs,
     slo_verdict,
 )
 from repro.tz import build_centralized_scheme, build_tree_scheme
@@ -162,6 +165,40 @@ class TestServeEngineUnits:
         assert stats["cache_hit_rate"] == pytest.approx(2 / 3, abs=1e-4)
         engine.cache.clear()
         assert engine.stats()["cache_size"] == 0
+
+
+class TestSnapshotLifetime:
+    """Exact distances come from a graph snapshot taken per call: a weight
+    changed between two calls must show in the second call's stretch."""
+
+    def test_changed_weight_reaches_the_next_call(self):
+        graph = random_connected_graph(40, seed=17)
+        scheme = build_centralized_scheme(graph, 2, seed=17)
+        compiled = compile_scheme(scheme, graph)
+        u, v = max(((a, b) for a in graph for b in graph if a != b),
+                   key=lambda p: nx.shortest_path_length(graph, *p))
+
+        def served_stretch():
+            report, results = serve_pairs(ServeEngine(compiled), graph,
+                                          [(u, v)])
+            exact = nx.dijkstra_path_length(graph, u, v)
+            assert results[0].ok
+            return report.sketches["stretch"].max_value, results[0].length / exact
+
+        def measured_stretch():
+            report = measure_stretch(scheme, graph, [(u, v)])
+            exact = nx.dijkstra_path_length(graph, u, v)
+            return report.max_stretch, route_in_graph(scheme, graph, u, v).length / exact
+
+        before = nx.dijkstra_path_length(graph, u, v)
+        first = served_stretch(), measured_stretch()
+        a, b = nx.dijkstra_path(graph, u, v)[:2]
+        graph[a][b]["weight"] += 100.0
+        assert nx.dijkstra_path_length(graph, u, v) > before
+        second = served_stretch(), measured_stretch()
+        for (got, want), (old, _) in zip(second, first):
+            assert got == pytest.approx(want)
+            assert got != pytest.approx(old)
 
 
 class TestServeCli:
